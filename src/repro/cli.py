@@ -192,6 +192,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         if result.error:
             print(f"  {result.error}")
+        for line in _refinement_trace_lines(result):
+            print(f"  {line}")
     if outcome.chain:
         print("refinement chain:", " -> ".join(outcome.chain))
     elif outcome.chain_error:
@@ -212,6 +214,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         return 130
     return 0 if outcome.success else 1
+
+
+def _refinement_trace_lines(result) -> list[str]:
+    """The whole-program check's counterexample trace of one proof,
+    as its lemma body records it (empty when the check found none)."""
+    if result.script is None:
+        return []
+    return [
+        line.removeprefix("// ")
+        for lemma in result.script.lemmas
+        if lemma.name == "WholeProgramRefinement"
+        for line in lemma.body
+        if line.startswith("// counterexample trace:")
+    ]
 
 
 def _invariant_predicate(ctx, machine, source: str):
@@ -744,6 +760,22 @@ def _add_connection_flags(p: argparse.ArgumentParser) -> None:
                    help="daemon TCP port (instead of --socket)")
 
 
+class _VersionAction(argparse.Action):
+    """``--version`` that looks the version up only when asked: the
+    lookup imports ``importlib.metadata`` and scans the installed
+    distributions, which costs every other command ~1 MB of resident
+    memory."""
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS,
+                 default=argparse.SUPPRESS, help=None):
+        super().__init__(option_strings, dest=dest, default=default,
+                         nargs=0, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"{parser.prog} {_version()}")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="armada",
@@ -751,8 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
         "high-performance concurrent programs (PLDI 2020)",
     )
     parser.add_argument(
-        "--version", action="version",
-        version=f"%(prog)s {_version()}",
+        "--version", action=_VersionAction, help="show the version and exit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

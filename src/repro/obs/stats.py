@@ -25,6 +25,12 @@ from repro.obs.core import (
 #: Fixed rendering order for the span-kind rows of the phase table.
 _KIND_ORDER = (KIND_CHAIN, KIND_PROOF, KIND_STRATEGY, KIND_OBLIGATION)
 
+#: The whole-program refinement check's span name and the counters it
+#: emits (as ``refine.<name>``) once per check.
+_REFINE_PHASE = "refine"
+_REFINE_COUNTERS = ("product_states", "high_expansions", "closure_hits",
+                    "closure_misses", "relation_calls")
+
 
 class TraceError(Exception):
     """A trace file that cannot be read or parsed."""
@@ -83,6 +89,20 @@ class TraceStats:
     @property
     def obligation_cached(self) -> int:
         return sum(1 for row in self.obligations if row["cached"])
+
+    @property
+    def refinement(self) -> dict | None:
+        """Whole-program refinement checks: how many ran (``refine``
+        spans), their seconds, and the search's work counters."""
+        row = next(
+            (r for r in self.phases if r["phase"] == _REFINE_PHASE), None
+        )
+        if row is None:
+            return None
+        summary = {"checks": row["spans"], "seconds": row["seconds"]}
+        for name in _REFINE_COUNTERS:
+            summary[name] = self.counters.get(f"refine.{name}", 0)
+        return summary
 
     def to_dict(self) -> dict:
         """The stable ``--json`` schema."""
@@ -144,6 +164,17 @@ class TraceStats:
                     f"  {row['phase'].ljust(width)}  "
                     f"{row['spans']:>6}  {row['seconds']:>9.3f}"
                 )
+        refinement = self.refinement
+        if refinement is not None:
+            lines.append(
+                f"refinement checks: {refinement['checks']} "
+                f"({refinement['seconds']:.3f}s): "
+                f"{refinement['product_states']} product states, "
+                f"{refinement['high_expansions']} high expansions, "
+                f"closures {refinement['closure_hits']} hits / "
+                f"{refinement['closure_misses']} misses, "
+                f"{refinement['relation_calls']} relation calls"
+            )
         if self.obligations:
             lines.append("per-obligation:")
             for row in sorted(

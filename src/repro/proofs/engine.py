@@ -576,7 +576,12 @@ class ProofEngine:
                     ),
                     body=[
                         "// product states explored: "
-                        f"{result.product_states}"
+                        f"{result.product_states}",
+                        "// high states expanded: "
+                        f"{result.high_expansions}; stutter closures: "
+                        f"{result.closure_misses} computed, "
+                        f"{result.closure_hits} reused; relation calls: "
+                        f"{result.relation_calls}",
                     ]
                     + [f"// discharges: {reason}"
                        for reason in script.global_checks]

@@ -45,9 +45,8 @@ proof MidToSpec { refinement Mid Spec nondet_weakening }
 """
 
 #: One level of the slow family: two worker threads contending on a
-#: mutex.  With ``validate: always`` each refinement pair costs one
-#: multi-second whole-program product sweep — enough wall-clock to
-#: catch a drain mid-job deterministically.
+#: mutex.  With ``validate: always`` each refinement pair also runs one
+#: whole-program product check (119 product states).
 SLOW_LEVEL = """
 level L%d {
   var counter: uint32;
@@ -77,8 +76,44 @@ level L%d {
 """
 
 
-def slow_chain(pairs: int) -> str:
-    parts = [SLOW_LEVEL % i for i in range(pairs + 1)]
+#: One level of the heavy family: the slow family with a third worker.
+#: With ``validate: always`` each refinement pair costs a whole-program
+#: product check of 994 product states — about two seconds, enough
+#: wall-clock to catch a drain mid-job deterministically.
+HEAVY_LEVEL = """
+level L%d {
+  var counter: uint32;
+  var mutex: uint64;
+  var done: uint32;
+  void worker() {
+    var i: uint32;
+    i := 0;
+    while (i < 1) {
+      lock(&mutex);
+      counter := counter + 1;
+      unlock(&mutex);
+      i := i + 1;
+    }
+  }
+  void main() {
+    var t1: uint64;
+    var t2: uint64;
+    var t3: uint64;
+    t1 := create_thread worker();
+    t2 := create_thread worker();
+    t3 := create_thread worker();
+    join(t1);
+    join(t2);
+    join(t3);
+    done := 1;
+    print_uint32(counter);
+  }
+}
+"""
+
+
+def slow_chain(pairs: int, level: str = SLOW_LEVEL) -> str:
+    parts = [level % i for i in range(pairs + 1)]
     for i in range(pairs):
         parts.append(
             "proof P%d { refinement L%d L%d weakening }" % (i, i, i + 1)
@@ -295,7 +330,7 @@ class TestConcurrentClients:
         try:
             # Occupy the single slot, then cancel a queued job.
             running = client.submit(
-                slow_chain(1), name="runner",
+                slow_chain(1, HEAVY_LEVEL), name="runner",
                 options={"validate": "always"},
             )
             queued = client.submit(QUICK_CHAIN, name="victim")
@@ -395,7 +430,7 @@ class TestDrainAndResume:
         state = tmp_path / "state"
         daemon, thread, client = start_daemon(state, slots=1)
         running = client.submit(
-            slow_chain(1), name="inflight",
+            slow_chain(1, HEAVY_LEVEL), name="inflight",
             options={"validate": "always"},
         )
         queued = client.submit(QUICK_CHAIN, name="patient")
@@ -482,7 +517,7 @@ class TestRealSignals:
             # flight, so the second is cancelled and the job ends
             # inconclusive — i.e. it must survive into pending.jsonl.
             job_id = client.submit(
-                slow_chain(2), name="interrupted",
+                slow_chain(2, HEAVY_LEVEL), name="interrupted",
                 options={"validate": "always"},
             )
             deadline = time.monotonic() + 30
@@ -531,13 +566,21 @@ class TestRealSignals:
         program = tmp_path / "chain.arm"
         # 6 proofs at >=1.5s each: a signal 2s in is always mid-run,
         # with at least a few obligations still unsettled afterwards.
+        # The 1.5s is an injected delay before each whole-program
+        # check, so it does not depend on how fast the check runs.
         program.write_text(slow_chain(6))
+        plan = tmp_path / "slow.json"
+        plan.write_text(json.dumps({"faults": [{
+            "action": "delay", "label": "WholeProgramRefinement",
+            "seconds": 1.5,
+        }]}))
         journal = tmp_path / "journal.jsonl"
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "verify",
                 str(program), "--validate", "always", "--no-cache",
                 "--journal", str(journal),
+                "--inject-faults", str(plan),
             ],
             env=self._env(), cwd=tmp_path,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
